@@ -22,15 +22,12 @@ load *ratio* (entries named ``x7:{scenario}/{strategy}``, unit ``x``):
 a ratio drifting more than the threshold against the baseline means the
 cost model and the executors moved apart and is flagged ``regressed``.
 
-``x8`` (concurrent service), ``x9`` (dispatch protocol), and ``x10``
-(memoization) sections are compared as *higher-is-better* quantities:
-per-arm throughput (``x8:{arm}``, unit ``q/s``), the
-resident-over-snapshot savings ratios (``x9:{workload}/dispatch`` and
-``x9:{workload}/pickle``, unit ``x``), and the memo-off-over-on ratios
-(``x10:{scenario}/speedup`` and ``x10:{scenario}/hash_ops``, unit
+``x8`` (concurrent service) and ``x9`` (dispatch protocol) sections are
+compared as *higher-is-better* quantities: per-arm throughput
+(``x8:{arm}``, unit ``q/s``) and the resident-over-snapshot savings
+ratios (``x9:{workload}/dispatch`` and ``x9:{workload}/pickle``, unit
 ``x``). For these a *drop* beyond the threshold is the regression — the
-service got slower, or the protocol/memo layer stopped saving what it
-used to.
+service got slower, or the protocol stopped saving what it used to.
 
 Comparing files measured at different sizes (``--quick`` vs full) is
 refused: the ratio would be meaningless. So is comparing files measured
@@ -154,25 +151,6 @@ def _x9_ratios_by_workload(document: dict[str, Any]) -> dict[str, float]:
     return ratios
 
 
-def _x10_ratios_by_scenario(document: dict[str, Any]) -> dict[str, float]:
-    """``x10:{scenario}/{quantity}`` -> memo-off over memo-on ratio.
-
-    ``hash_ops`` entries are only emitted for scenarios that hash at all
-    (ratio > 0): a scenario with splitter-based routing legitimately
-    records 0, which is not comparable — but a scenario whose ratio
-    *drops* to 0 against a positive baseline shows up as ``missing``,
-    which is the regression it is.
-    """
-    ratios: dict[str, float] = {}
-    for record in document.get("x10", []):
-        ratios[f"x10:{record['name']}/speedup"] = float(record["speedup"])
-        if record.get("hash_ops_ratio", 0) > 0:
-            ratios[f"x10:{record['name']}/hash_ops"] = float(
-                record["hash_ops_ratio"]
-            )
-    return ratios
-
-
 def _backend_fingerprint(document: dict[str, Any]) -> tuple[str, int]:
     """(backend, workers) a BENCH file was measured under.
 
@@ -275,8 +253,6 @@ def compare_bench(
         (( _x8_throughputs_by_arm(baseline), _x8_throughputs_by_arm(current)),
          "q/s"),
         ((_x9_ratios_by_workload(baseline), _x9_ratios_by_workload(current)),
-         "x"),
-        ((_x10_ratios_by_scenario(baseline), _x10_ratios_by_scenario(current)),
          "x"),
     ):
         base_values, cur_values = higher_better

@@ -40,7 +40,6 @@ __all__ = [
     "run_bench_x7",
     "run_bench_x8",
     "run_bench_x9",
-    "run_bench_x10",
     "run_experiment",
     "run_scaling",
     "run_speedup",
@@ -772,231 +771,6 @@ def run_bench_x9(
     }
 
 
-# The x10 memoization bench: each scenario runs the same multi-round
-# query this many times per arm, so the memo-on arm pays its hashing and
-# partitioning on the first run only while the memo-off arm repeats it
-# every run. The floors below are the acceptance bar: at least
-# X10_SCENARIO_FLOOR scenarios must clear both.
-X10_QUERIES = 8
-X10_SPEEDUP_FLOOR = 1.5
-X10_HASH_FLOOR = 5.0
-X10_SCENARIO_FLOOR = 2
-
-
-def run_bench_x10(quick: bool = False, echo: bool = True) -> dict[str, Any]:
-    """The x10 document: intra-query memoization on vs off.
-
-    Each scenario — GYM, the multi-reducer semijoin, multiround sort,
-    SkewHC, and a ``split=4`` service query — runs :data:`X10_QUERIES`
-    times per arm on the inline backend: once with the memo layer forced
-    off and once (after an explicit :func:`~repro.kernels.memo.clear_memo`
-    so the arm pays its own cold start) with it on. Both the contextvar
-    gate and ``REPRO_MEMO`` are set, because the service arm executes on
-    worker threads that only see the environment.
-
-    Recorded per scenario: wall time and bucket-kernel hash ops of both
-    arms, the on-arm's partition/view hit counters and bytes saved, and
-    ``identical`` — every run of both arms must reproduce the same
-    output rows, L_max, and round count. ``speedup``
-    (``seconds_off / seconds_on``) and ``hash_ops_ratio``
-    (``hash_ops_off / hash_ops_on``) are the acceptance quantities.
-    Multiround sort is the honest control: its routing is splitter-based
-    (no hash partitioning), so the memo layer has nothing to replay
-    there and both ratios sit near 1x/0x by design.
-    """
-    from contextlib import contextmanager
-
-    from repro.data.generators import skewed_relation, uniform_relation
-    from repro.data.warehouse import make_warehouse
-    from repro.kernels.memo import GLOBAL, clear_memo, use_memo
-    from repro.multiway.base import shuffle_multi_semijoin
-    from repro.multiway.gym import gym
-    from repro.multiway.skewhc import skewhc_join
-    from repro.query.parser import parse_query
-    from repro.service.cli import WORKLOAD
-    from repro.service.service import QueryService
-    from repro.sorting.multiround import multiround_sort
-
-    def say(message: str) -> None:
-        if echo:
-            print(message, flush=True)
-
-    @contextmanager
-    def memo_everywhere(enabled: bool):
-        # The contextvar covers inline execution in this thread; the env
-        # var covers service worker threads, which start with no forced
-        # value and fall back to REPRO_MEMO.
-        saved = os.environ.get("REPRO_MEMO")
-        os.environ["REPRO_MEMO"] = "on" if enabled else "off"
-        try:
-            with use_memo(enabled):
-                yield
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_MEMO", None)
-            else:
-                os.environ["REPRO_MEMO"] = saved
-
-    p = 8
-    n_gym = 3_000 if quick else 30_000
-    n_semi = 6_000 if quick else 60_000
-    n_sort = 10_000 if quick else 120_000
-    n_skew = 1_500 if quick else 8_000
-    n_orders = 800 if quick else 3_000
-
-    gym_query = parse_query(
-        "Q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(c, d), R4(d, e)"
-    )
-    gym_rels = {
-        f"R{i}": uniform_relation(
-            f"R{i}", [chr(ord("a") + i - 1), chr(ord("a") + i)],
-            n_gym, n_gym, seed=i,
-        )
-        for i in range(1, 5)
-    }
-
-    semi_target = uniform_relation("T", ["x", "y"], n_semi, n_semi // 4, seed=1)
-    semi_reducers = [
-        uniform_relation(f"K{i}", ["x"], n_semi // 3, n_semi // 4, seed=10 + i)
-        for i in range(3)
-    ]
-
-    sort_items = uniform_relation(
-        "S", ["v"], n_sort, n_sort * 4, seed=2
-    ).column("v")
-
-    skew_query = parse_query("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-    skew_rels = {
-        "R": skewed_relation("R", ["x", "y"], n_skew, "y", n_skew // 2, 1.2,
-                             seed=3),
-        "S": uniform_relation("S", ["y", "z"], n_skew, n_skew // 2, seed=4),
-        "T": uniform_relation("T", ["z", "x"], n_skew, n_skew // 2, seed=5),
-    }
-
-    warehouse = make_warehouse(
-        n_orders=n_orders, n_customers=max(50, n_orders // 10), seed=0
-    )
-    service_query = WORKLOAD[2]  # Orders x Lineitems: splitter-eligible
-
-    def run_gym():
-        run = gym(gym_query, gym_rels, p=p, seed=0)
-        return run.output.rows_readonly(), run.stats.max_load, run.stats.num_rounds
-
-    def run_semijoin():
-        out, stats = shuffle_multi_semijoin(
-            semi_target, semi_reducers, p=p, seed=0
-        )
-        return out.rows_readonly(), stats.max_load, stats.num_rounds
-
-    def run_sort():
-        out, stats = multiround_sort(
-            sort_items, p=p, load_cap=max(64, n_sort // (2 * p)), seed=0
-        )
-        return tuple(out), stats.max_load, stats.num_rounds
-
-    def run_skewhc():
-        run = skewhc_join(skew_query, skew_rels, p=p, seed=0)
-        return run.output.rows_readonly(), run.stats.max_load, run.stats.num_rounds
-
-    scenarios = [
-        ("gym_path", n_gym, run_gym, None),
-        ("semijoin_multi", n_semi, run_semijoin, None),
-        ("multiround_sort", n_sort, run_sort, None),
-        ("skewhc_triangle", n_skew, run_skewhc, None),
-        ("service_split4", n_orders, None, "service"),
-    ]
-
-    records: list[dict[str, Any]] = []
-    experiments: list[dict[str, Any]] = []
-    with use_backend("inline"):
-        for name, n, runner, special in scenarios:
-            arm_results: dict[bool, tuple[float, Any, list]] = {}
-            for enabled in (False, True):
-                clear_memo()
-                before = GLOBAL.snapshot()
-                outcomes: list[Any] = []
-                with memo_everywhere(enabled):
-                    if special == "service":
-                        # cache_size=0: the result cache must not
-                        # shortcut the repeats the memo layer is
-                        # being measured on.
-                        with QueryService(
-                            warehouse, p=p, workers=1, cache_size=0, seed=0
-                        ) as svc:
-                            start = time.perf_counter()
-                            for _ in range(X10_QUERIES):
-                                result = svc.query(service_query, split=4)
-                                outcomes.append((
-                                    result.output.rows_readonly(),
-                                    result.max_load, result.rounds,
-                                ))
-                            seconds = time.perf_counter() - start
-                    else:
-                        start = time.perf_counter()
-                        for _ in range(X10_QUERIES):
-                            outcomes.append(runner())
-                        seconds = time.perf_counter() - start
-                arm_results[enabled] = (
-                    seconds, GLOBAL.delta(before), outcomes
-                )
-            off_s, off_memo, off_outcomes = arm_results[False]
-            on_s, on_memo, on_outcomes = arm_results[True]
-            identical = all(
-                outcome == off_outcomes[0]
-                for outcome in off_outcomes + on_outcomes
-            )
-            record = {
-                "name": name,
-                "n": n,
-                "p": p,
-                "queries": X10_QUERIES,
-                "seconds_on": on_s,
-                "seconds_off": off_s,
-                "speedup": off_s / on_s if on_s > 0 else 0.0,
-                "hash_ops_on": on_memo.hash_ops,
-                "hash_ops_off": off_memo.hash_ops,
-                "hash_ops_ratio": (
-                    off_memo.hash_ops / on_memo.hash_ops
-                    if on_memo.hash_ops else 0.0
-                ),
-                "partition_hits": on_memo.partition_hits,
-                "view_hits": on_memo.view_hits,
-                "bytes_saved": on_memo.bytes_saved,
-                "identical": identical,
-            }
-            records.append(record)
-            say(
-                f"  {name:<18} on={on_s:.3f}s off={off_s:.3f}s "
-                f"speedup={record['speedup']:.2f}x "
-                f"hash_ops={off_memo.hash_ops}->{on_memo.hash_ops} "
-                f"({record['hash_ops_ratio']:.1f}x) "
-                f"hits={on_memo.partition_hits}p/{on_memo.view_hits}v "
-                f"identical={identical}"
-            )
-            # One standard experiment record per scenario (memo-on wall
-            # time) so the file diffs with the plain comparator too.
-            _, ref_load, ref_rounds = on_outcomes[0]
-            experiments.append({
-                "name": f"x10_{name}",
-                "n": n,
-                "p": p,
-                "seconds": on_s,
-                "L_max": ref_load,
-                "rounds": ref_rounds,
-                "out_size": len(on_outcomes[0][0]),
-            })
-    clear_memo()
-    return {
-        "schema": SCHEMA_VERSION,
-        "machine": machine_info(),
-        "kernels": kernels_enabled(),
-        "quick": quick,
-        "experiments": experiments,
-        "speedups": [],
-        "x10": records,
-    }
-
-
 def _load(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -1052,12 +826,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "byte-identity checks against an inline "
                              "reference) instead of the standard experiment "
                              "set; default out BENCH_9.json")
-    parser.add_argument("--x10", action="store_true",
-                        help="run the memoization sweep (memo on vs off over "
-                             "repeated multi-round queries, with byte-"
-                             "identity checks between the arms) instead of "
-                             "the standard experiment set; default out "
-                             "BENCH_10.json")
     parser.add_argument("--force", action="store_true",
                         help="allow diffing BENCH files measured under "
                              "different execution backends")
@@ -1066,8 +834,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="compare two existing BENCH files and exit")
     args = parser.parse_args(argv)
 
-    if sum((args.x4, args.x7, args.x8, args.x9, args.x10)) > 1:
-        print("--x4, --x7, --x8, --x9, and --x10 are mutually exclusive",
+    if sum((args.x4, args.x7, args.x8, args.x9)) > 1:
+        print("--x4, --x7, --x8, and --x9 are mutually exclusive",
               file=sys.stderr)
         return 2
     if args.x4 and args.out == parser.get_default("out"):
@@ -1078,8 +846,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.out = "BENCH_8.json"
     if args.x9 and args.out == parser.get_default("out"):
         args.out = "BENCH_9.json"
-    if args.x10 and args.out == parser.get_default("out"):
-        args.out = "BENCH_10.json"
 
     if args.diff is not None:
         try:
@@ -1240,56 +1006,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if weak:
             print(f"resident protocol saved less than {X9_RATIO_FLOOR}x "
                   f"over snapshot for: {weak}", file=sys.stderr)
-            status = 1
-        if args.baseline:
-            try:
-                baseline = _load(args.baseline)
-                comparison = compare_bench(
-                    baseline, document, threshold=args.threshold,
-                    force=args.force,
-                )
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                print(f"baseline comparison failed: {exc}", file=sys.stderr)
-                return 0 if args.warn_only else 2
-            print(comparison.format_table())
-            if not comparison.ok and not args.warn_only:
-                return 1
-        return status
-
-    if args.x10:
-        print(f"running {'quick' if args.quick else 'full'} memoization "
-              f"sweep "
-              f"(kernels={'on' if kernels_enabled() else 'off'}):")
-        document = run_bench_x10(quick=args.quick)
-        errors = validate_bench(document)
-        if errors:
-            print("generated document violates the BENCH schema:", file=sys.stderr)
-            for error in errors:
-                print(f"  {error}", file=sys.stderr)
-            return 2
-        Path(args.out).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}")
-        status = 0
-        broken = [r["name"] for r in document["x10"] if not r["identical"]]
-        if broken:
-            print(f"memo on/off outputs diverged for: {broken}",
-                  file=sys.stderr)
-            status = 1
-        strong = [
-            r["name"] for r in document["x10"]
-            if r["speedup"] >= X10_SPEEDUP_FLOOR
-            and r["hash_ops_ratio"] >= X10_HASH_FLOOR
-        ]
-        if len(strong) < X10_SCENARIO_FLOOR:
-            print(
-                f"only {len(strong)} scenario(s) cleared both memo floors "
-                f"(>= {X10_SPEEDUP_FLOOR}x wall, >= {X10_HASH_FLOOR}x hash "
-                f"ops); need {X10_SCENARIO_FLOOR}: {strong}",
-                file=sys.stderr,
-            )
             status = 1
         if args.baseline:
             try:

@@ -75,18 +75,6 @@ A BENCH file is a JSON document::
          "dispatch_ratio": float,  # snapshot/resident snapshot_dispatches
          "pickle_ratio": float,    # snapshot/resident pickle_bytes_out
          "identical": bool}, ...   # every run matched the inline reference
-      ],
-      "x10": [                  # optional: memoization on/off sweep
-        {"name": str, "n": int, "p": int,
-         "queries": int,        # repeated runs per arm
-         "seconds_on": float, "seconds_off": float,
-         "speedup": float,      # seconds_off / seconds_on
-         "hash_ops_on": int, "hash_ops_off": int,
-         "hash_ops_ratio": float,  # hash_ops_off / hash_ops_on (0 when
-                                   # the scenario hashes nothing, e.g.
-                                   # splitter-based multiround sort)
-         "partition_hits": int, "view_hits": int, "bytes_saved": int,
-         "identical": bool}, ...   # both arms byte-identical per run
       ]
     }
 
@@ -231,24 +219,6 @@ _X9_FIELDS: dict[str, tuple[type, ...]] = {
 }
 
 
-_X10_FIELDS: dict[str, tuple[type, ...]] = {
-    "name": (str,),
-    "n": (int,),
-    "p": (int,),
-    "queries": (int,),
-    "seconds_on": (int, float),
-    "seconds_off": (int, float),
-    "speedup": (int, float),
-    "hash_ops_on": (int,),
-    "hash_ops_off": (int,),
-    "hash_ops_ratio": (int, float),
-    "partition_hits": (int,),
-    "view_hits": (int,),
-    "bytes_saved": (int,),
-    "identical": (bool,),
-}
-
-
 def _check_record(
     record: Any, fields: dict[str, tuple[type, ...]], where: str, errors: list[str]
 ) -> None:
@@ -385,16 +355,4 @@ def validate_bench(document: Any) -> list[str]:
                 if arm in arms:
                     errors.append(f"x9[{i}]: duplicate (name, protocol) {arm!r}")
                 arms.add(arm)
-    x10 = document.get("x10", [])  # optional: only memo (x10) runs emit it
-    if not isinstance(x10, list):
-        errors.append("x10: expected a list")
-    else:
-        scenario_names: set[Any] = set()
-        for i, record in enumerate(x10):
-            _check_record(record, _X10_FIELDS, f"x10[{i}]", errors)
-            if isinstance(record, dict):
-                name = record.get("name")
-                if name in scenario_names:
-                    errors.append(f"x10[{i}]: duplicate name {name!r}")
-                scenario_names.add(name)
     return errors

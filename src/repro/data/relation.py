@@ -56,7 +56,6 @@ from repro.data.schema import Schema
 from repro.errors import SchemaError
 from repro.kernels.columnar import key_columns
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import memo_enabled
 from repro.kernels.join import (
     code_key_columns,
     join_indices,
@@ -96,7 +95,7 @@ class Relation:
     """
 
     __slots__ = ("name", "schema", "_rows", "_cols", "_chunks", "_colcache",
-                 "_version", "_borrowed", "_lock")
+                 "_version", "_borrowed", "_lock", "__weakref__")
 
     def __init__(
         self,
@@ -166,45 +165,6 @@ class Relation:
         return out
 
     @classmethod
-    def from_chunks(
-        cls,
-        name: str,
-        schema: Schema | Sequence[str],
-        chunk_lists: Sequence[Sequence[Any]],
-    ) -> "Relation":
-        """Build a *chunk-backed* column-primary relation in O(#blocks).
-
-        ``chunk_lists[i]`` is the ordered list of 1-D integer blocks that
-        make up column ``i``.  Nothing is concatenated here — a delivery
-        can append blocks in O(1) — and :meth:`__len__` answers from the
-        block lengths without copying; the first whole-column access
-        (:meth:`columns`, any operator) solidifies the chunks into
-        ordinary backing arrays.  Blocks of one column must share a
-        dtype so the deferred concatenation is value-exact.
-        """
-        out = cls(name, schema)
-        arity = out.schema.arity
-        if arity == 0:
-            raise SchemaError("from_chunks needs at least one attribute")
-        if len(chunk_lists) != arity:
-            raise SchemaError(
-                f"{len(chunk_lists)} chunk lists for schema {name} of arity {arity}"
-            )
-        chunks = [[_as_column(b) for b in blocks] for blocks in chunk_lists]
-        lengths = [sum(len(b) for b in blocks) for blocks in chunks]
-        if len(set(lengths)) > 1:
-            raise SchemaError(f"column lengths differ: {lengths}")
-        for blocks in chunks:
-            if len({b.dtype for b in blocks}) > 1:
-                raise SchemaError(
-                    "blocks of one column must share a dtype "
-                    f"({[str(b.dtype) for b in blocks]})"
-                )
-        out._chunks = chunks
-        out._rows = None
-        return out
-
-    @classmethod
     def wrap(
         cls, name: str, schema: Schema | Sequence[str], rows: list[Row]
     ) -> "Relation":
@@ -239,11 +199,12 @@ class Relation:
     def __getstate__(self) -> dict:
         # The per-relation lock is not picklable (and must not be
         # shared across processes anyway); a fresh one is created on
-        # unpickle. Everything else round-trips verbatim.
+        # unpickle. Weak references stay with the original. Everything
+        # else round-trips verbatim.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_lock"
+            if slot not in ("_lock", "__weakref__")
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -711,20 +672,12 @@ def union_all(name: str, relations: Sequence[Relation]) -> Relation:
         if per_position is not None and all(
             len({b.dtype for b in blocks}) <= 1 for blocks in per_position
         ):
-            if memo_enabled():
-                # Zero-copy: adopt the blocks as a chunk-backed view;
-                # the concatenation happens only if a consumer asks for
-                # whole columns.
-                out._chunks = per_position
-                out._rows = None
-                return out
-            return out._adopt_columns(
-                [
-                    np.empty(0, dtype=np.int64) if not blocks
-                    else np.concatenate(blocks)
-                    for blocks in per_position
-                ]
-            )
+            # Zero-copy: adopt the blocks as a chunk-backed view; the
+            # concatenation happens only if a consumer asks for whole
+            # columns.
+            out._chunks = per_position
+            out._rows = None
+            return out
     for r in relations:
         out._rows.extend(r.rows_readonly())
     return out

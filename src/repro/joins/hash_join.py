@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun, distributed_local_join, require_join_key
-from repro.kernels.memo import route_scattered
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 
@@ -68,21 +67,16 @@ def shuffle_fragments_by_key(
 ) -> None:
     """The round-1 communication: route both fragments by hashed join key.
 
-    Per-(destination, fragment) arrival order is source-server ascending
-    whether the sides go through the memoized whole-relation replay
-    (:func:`repro.kernels.memo.route_scattered`) or the per-server loop,
-    so the two paths deliver byte-identical fragments.
+    Per-(destination, fragment) arrival order is source-server ascending.
     """
     h = cluster.hash_function(hash_index)
     r_idx = r.schema.indices(shared)
     s_idx = s.schema.indices(shared)
     with cluster.round("hash-shuffle") as rnd:
-        for rel, fragment, idx, out in (
-            (r, r_fragment, r_idx, f"{r.name}@j"),
-            (s, s_fragment, s_idx, f"{s.name}@j"),
+        for fragment, idx, out in (
+            (r_fragment, r_idx, f"{r.name}@j"),
+            (s_fragment, s_idx, f"{s.name}@j"),
         ):
-            if route_scattered(cluster, rnd, rel, fragment, idx, h, out):
-                continue
             for server in cluster.servers:
                 rows, cols = server.take_with_columns(fragment, tuple(idx))
                 if not try_route(rnd, rows, idx, h, out, columns=cols):

@@ -59,7 +59,7 @@ from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import MemoStats, memo_enabled
+from repro.kernels.memo import MemoStats
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
     FaultController,
@@ -181,15 +181,10 @@ class RoundContext:
     def _deliver_buffers(self) -> None:
         """Move every buffered tuple into its destination fragment."""
         servers = self._cluster.servers
-        origins = self._cluster._scatter_origin
-        lazy = memo_enabled()
         for dest, fragments in enumerate(self._buffers):
             server = servers[dest]
             side_cars = self._column_buffers[dest]
             for fragment, rows in fragments.items():
-                # Delivered rows supersede any scatter provenance for the
-                # fragment: a cached routing plan may no longer replay it.
-                origins.pop(fragment, None)
                 target = server.fragment(fragment)
                 had_rows = bool(target)
                 target.extend(rows)
@@ -200,7 +195,7 @@ class RoundContext:
                 entry = side_cars.get(fragment)
                 if entry is not None and not had_rows and entry[2] == len(rows):
                     key_idx, per_column, _covered = entry
-                    if lazy and any(len(chunks) > 1 for chunks in per_column):
+                    if any(len(chunks) > 1 for chunks in per_column):
                         # Zero-copy chunked delivery: hand the blocks over
                         # as-is; the concat happens only if a consumer asks
                         # for whole columns (Server.take_with_columns).
@@ -281,12 +276,6 @@ class Cluster:
         self.p = p
         self.servers = [Server(sid) for sid in range(p)]
         self.stats = RunStats(p)
-        # fragment name -> (relation, mutation token at scatter time).
-        # Proof that a fragment still holds exactly rel[s::p], letting the
-        # memo layer replay a cached routing plan (repro.kernels.memo).
-        # Any delivery to, raw re-scatter of, or drop of the fragment
-        # invalidates the claim; a mutated relation is caught by its token.
-        self._scatter_origin: dict[str, tuple[Relation, int]] = {}
         self.backend = get_backend(backend)
         self.stats.exec = self.backend.new_stats()
         self.load_cap = load_cap
@@ -445,8 +434,6 @@ class Cluster:
         fragment = name if name is not None else relation.name
         columns = relation.columns() if kernels_enabled() else None
         self.scatter_rows(relation.rows_readonly(), fragment, columns=columns)
-        if not relation.is_borrowed:
-            self._scatter_origin[fragment] = (relation, relation.mutation_token())
         return fragment
 
     def scatter_rows(
@@ -464,7 +451,6 @@ class Cluster:
         (only on servers whose fragment was empty, so the side-car always
         covers the full stored row list).
         """
-        self._scatter_origin.pop(name, None)
         for s in range(self.p):
             chunk = rows[s :: self.p]
             if chunk:
@@ -510,7 +496,6 @@ class Cluster:
 
     def drop(self, fragment: str) -> None:
         """Delete a fragment on every server."""
-        self._scatter_origin.pop(fragment, None)
         for server in self.servers:
             server.drop(fragment)
 

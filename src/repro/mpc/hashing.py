@@ -7,6 +7,10 @@ based on splitmix64 (for integers and tuples of integers) with a blake2b
 fallback for arbitrary hashable values. All functions are deterministic
 given ``(seed, index)``.
 
+Values equal to an integer (bools, integral floats, numpy scalars) hash
+as that integer, and every other value by the ``repr`` of its canonical
+form, so values that compare equal always hash alike.
+
 The integer paths — scalar and all-integer tuple — are the *hash spec*
 shared with the vectorized kernels of :mod:`repro.kernels.hashing`: the
 numpy implementation must reproduce them bit for bit so the columnar
@@ -19,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from typing import Any
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,12 +55,40 @@ def hash_int_tuple(values: tuple[int, ...], salt: int) -> int:
 
 
 def _as_int(value: Any) -> int | None:
-    """The value as a plain int when it hashes on the integer path."""
+    """The value as a plain int when it hashes on the integer path.
+
+    Every value equal to an integer takes this path — bools, integral
+    floats and numpy integer/bool/float scalars — because equal values
+    must land on the same server: ``1``, ``1.0``, ``True`` and
+    ``np.int64(1)`` join with each other, so they must hash alike.
+    """
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
         return value
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, np.generic):
+        item = value.item()
+        return None if isinstance(item, np.generic) else _as_int(item)
     return None
+
+
+def _canonical(value: Any) -> Any:
+    """The value in the form whose ``repr`` the blake2b path hashes.
+
+    Integral numbers become ints and numpy scalars their Python twins,
+    so equal values share a repr (``np.float64(0.5)`` and ``0.5``,
+    ``(1.0, "a")`` and ``(1, "a")``).
+    """
+    as_int = _as_int(value)
+    if as_int is not None:
+        return as_int
+    if isinstance(value, tuple):
+        return tuple(_canonical(element) for element in value)
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 def _hash_value(value: Any, salt: int) -> int:
@@ -71,7 +105,7 @@ def _hash_value(value: Any, salt: int) -> int:
             ints.append(element_int)
         else:
             return hash_int_tuple(tuple(ints), salt)
-    data = repr(value).encode() + struct.pack("<Q", salt)
+    data = repr(_canonical(value)).encode() + struct.pack("<Q", salt)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 

@@ -257,10 +257,6 @@ class RunStats:
             # as a free-looking 0.
             bpm = self.exec.bytes_per_message
             text += f" bytes/msg={'n/a' if bpm is None else format(bpm, '.0f')}"
-        if self.memo is not None:
-            hits = self.memo.partition_hits + self.memo.view_hits
-            if hits:
-                text += f" memo_hits={hits}"
         return text
 
     def __repr__(self) -> str:

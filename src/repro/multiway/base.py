@@ -22,6 +22,7 @@ the accounting identical across algorithms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,7 +31,6 @@ from repro.errors import QueryError
 from repro.joins.base import distributed_local_join
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import semijoin_mask
-from repro.kernels.memo import distinct_project, key_degrees, route_scattered
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RunStats
@@ -78,12 +78,7 @@ def shuffle_join(
     r_idx = r.schema.indices(shared)
     s_idx = s.schema.indices(shared)
     with cluster.round(label) as rnd:
-        for rel, frag, idx, out in (
-            (r, r_frag, r_idx, "L@j"),
-            (s, s_frag, s_idx, "R@j"),
-        ):
-            if route_scattered(cluster, rnd, rel, frag, idx, h, out):
-                continue
+        for frag, idx, out in ((r_frag, r_idx, "L@j"), (s_frag, s_idx, "R@j")):
             for server in cluster.servers:
                 rows, cols = server.take_with_columns(frag, tuple(idx))
                 if not try_route(rnd, rows, idx, h, out, columns=cols):
@@ -146,29 +141,23 @@ def shuffle_multi_semijoin(
     cluster = Cluster(p, seed=seed, audit=audit)
 
     # Heavy keys by target degree (statistics assumed known, as in the
-    # tutorial's skew algorithms; a real engine samples them). The degree
-    # map is memoized per mutation token — GYM recomputes it every round
-    # on the same relations.
-    degrees = key_degrees(target, t_idx, stats=cluster.stats.memo)
+    # tutorial's skew algorithms; a real engine samples them).
+    degrees = _key_degrees(target, t_idx)
     in_size = len(target) + sum(len(r) for r in reducers)
     threshold = max(in_size / p, 2.0)
     heavy = {k for k, c in degrees.items() if c >= threshold}
 
     t_frag = cluster.scatter(target, "T@in")
     reducer_frags = []
-    reducer_lights: list[Relation] = []
     reducer_key_sets: list[set[Row]] = []
     for i, red in enumerate(reducers):
-        distinct_keys = distinct_project(red, shared, stats=cluster.stats.memo)
+        distinct_keys = red.project(list(shared)).distinct()
         reducer_key_sets.append(set(distinct_keys.rows_readonly()))
-        # Without heavy keys the memoized distinct relation is scattered
-        # directly, keeping a stable identity for the partition cache.
         light_keys = (
             distinct_keys
             if not heavy
             else distinct_keys.select(lambda row: row not in heavy)
         )
-        reducer_lights.append(light_keys)
         reducer_frags.append(cluster.scatter(light_keys, f"K{i}@in"))
 
     # Heavy keys surviving every reducer get their verdict broadcast.
@@ -179,27 +168,14 @@ def shuffle_multi_semijoin(
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
-        # Per-(destination, fragment) arrival order is source-server
-        # ascending on both the replayed and the per-server path, so the
-        # fragment-at-a-time restructure delivers byte-identical state.
-        if not heavy and route_scattered(
-            cluster, rnd, target, t_frag, t_idx, h, "T@j"
-        ):
-            for server in cluster.servers:
-                server.put("T@stay", [])
-        else:
-            for server in cluster.servers:
-                taken = server.take(t_frag)
-                stay = _route_light(rnd, taken, t_idx, heavy, h)
-                server.put("T@stay", stay)
+        for server in cluster.servers:
+            taken, cols = server.take_with_columns(t_frag, t_idx)
+            stay = _route_light(rnd, taken, t_idx, heavy, h, cols)
+            server.put("T@stay", stay)
         for i, frag in enumerate(reducer_frags):
-            if route_scattered(
-                cluster, rnd, reducer_lights[i], frag, key_arity, h, f"K{i}@j"
-            ):
-                continue
             for server in cluster.servers:
-                rows = server.take(frag)
-                if not try_route(rnd, rows, key_arity, h, f"K{i}@j"):
+                rows, cols = server.take_with_columns(frag, key_arity)
+                if not try_route(rnd, rows, key_arity, h, f"K{i}@j", columns=cols):
                     for row in rows:
                         rnd.send(h(row), f"K{i}@j", row)
         for key in heavy_alive:
@@ -224,19 +200,33 @@ def shuffle_multi_semijoin(
     return result, cluster.stats
 
 
+def _key_degrees(rel: Relation, key_idx: tuple[int, ...]) -> Counter:
+    """``Counter`` of the key tuples of ``rel`` (columnar when it can be)."""
+    cols = rel.columns()
+    if cols is not None:
+        return Counter(zip(*[cols[i].tolist() for i in key_idx]))
+    return Counter(tuple(row[i] for i in key_idx) for row in rel.rows_readonly())
+
+
 def _route_light(
     rnd: Any,
     rows: list[Row],
     t_idx: tuple[int, ...],
     heavy: set[Row],
     h: Any,
+    columns: list | None = None,
 ) -> list[Row]:
     """Route light rows to ``h(key)``; return the heavy rows (they stay).
 
     Vectorized heavy/light split + batched routing when the key columns
-    are integers; otherwise the original tuple-at-a-time loop.
+    are integers; otherwise the original tuple-at-a-time loop. Without
+    heavy keys every row is light and routes with its side-car
+    ``columns`` (the key columns, when the scatter supplied them).
     """
-    if kernels_enabled() and rows:
+    if not heavy:
+        if try_route(rnd, rows, t_idx, h, "T@j", columns=columns):
+            return []
+    elif kernels_enabled() and rows:
         mask = semijoin_mask(rows, t_idx, list(heavy))
         if mask is not None:
             stay = [row for row, is_heavy in zip(rows, mask) if is_heavy]

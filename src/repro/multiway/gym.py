@@ -24,7 +24,6 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import project_view
 from repro.mpc.cluster import combine_parallel, combine_sequential
 from repro.mpc.stats import RunStats
 from repro.multiway.base import MultiwayRun, shuffle_join, shuffle_multi_semijoin
@@ -191,9 +190,7 @@ def _greedy_join_order(covers: list[Relation]) -> list[Relation]:
 
 def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation:
     bag_attrs = [a for a in rel.schema.attributes if a in node.bag]
-    # Memoized: repeated GYM runs over unchanged inputs reuse the bag
-    # projection (read-only downstream — semijoins replace, never mutate).
-    projected = project_view(rel, bag_attrs, name=f"B{node.cover[0]}")
+    projected = rel.project(bag_attrs, name=f"B{node.cover[0]}")
     return projected.distinct() if dedupe else projected
 
 
@@ -380,5 +377,5 @@ def _aligned(
             f"atom {atom}"
         )
     if rel.schema.attributes != atom.variables:
-        rel = project_view(rel, atom.variables)
+        rel = rel.project(list(atom.variables))
     return rel

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import (
-    count_fused,
-    memo_enabled,
-    project_view,
-    route_scattered_grid,
-)
+from repro.kernels.memo import count_fused
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
 from repro.mpc.topology import Grid
@@ -120,11 +115,6 @@ def hypercube_route(
     with cluster.round("hypercube") as rnd:
         for atom in query.atoms:
             column_dims = [var_position[v] for v in atom.variables]
-            if route_scattered_grid(
-                cluster, rnd, rels[atom.name], fragments[atom.name],
-                column_dims, salts, extents, grid.strides, f"{atom.name}@hc",
-            ):
-                continue
             arity = tuple(range(len(atom.variables)))
             for server in cluster.servers:
                 rows, cols = server.take_with_columns(fragments[atom.name], arity)
@@ -141,11 +131,11 @@ def hypercube_route(
                         rnd.send(dest, f"{atom.name}@hc", row)
 
     # Build the per-server eval payloads now (fragments are consumed by
-    # take); the dispatch itself is the staged half. With memo on, a
+    # take); the dispatch itself is the staged half. With kernels on, a
     # payload whose full-arity side-car survived delivery is *fused*: the
     # eval chunk builds the local relation straight from the column
     # blocks instead of re-wrapping the row list.
-    fused = memo_enabled() and kernels_enabled()
+    fused = kernels_enabled()
     payloads = []
     for sid in range(grid.size):
         server = cluster.servers[sid]
@@ -207,7 +197,7 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
     relation's columnar cache is seeded from the delivered side-car. A
     server with an empty fragment produces ``None`` (no output stored).
 
-    When the coordinator flagged the run as *fused* (memo + kernels on),
+    When the coordinator flagged the run as *fused* (kernels on),
     a payload carrying a full-arity side-car is turned into a
     column-primary relation directly — the delivered row list is never
     re-wrapped, and local evaluation reads the routed column blocks.
@@ -253,9 +243,7 @@ def _relation_for(
             f"atom {atom}"
         )
     if rel.schema.attributes != atom.variables:
-        # Memoized: repeated runs over an unchanged relation get the same
-        # reordered projection object, keeping the grid partition cache hot.
-        rel = project_view(rel, atom.variables)
+        rel = rel.project(list(atom.variables))
     return rel
 
 

@@ -27,7 +27,6 @@ from typing import Any
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import cached_view, project_view, value_degrees
 from repro.mpc.cluster import combine_parallel
 from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import StagedHypercube, hypercube_route
@@ -46,9 +45,7 @@ def find_heavy_values(
     for atom in query.atoms:
         rel = relations[atom.name]
         for variable in atom.variables:
-            # Degree maps are memoized per mutation token — every residual
-            # stage of a repeated SkewHC run reuses them.
-            for value, count in value_degrees(rel, variable).items():
+            for value, count in rel.degrees(variable).items():
                 if count >= threshold:
                     heavy[variable].add(value)
     return heavy
@@ -217,24 +214,7 @@ def _build_job(
     restricted: dict[str, Relation] = {}
     multiplicity = 1
     for atom in query.atoms:
-        rel = relations[atom.name]
-        # The restriction depends only on the relation's contents, the
-        # bound values of the atom's variables, and the heavy sets of its
-        # free variables — memoize it per mutation token so repeated
-        # SkewHC runs (and self-joined atoms sharing a relation) reuse
-        # the scan. The cached residual relation keeps a stable identity,
-        # which is what lets the residual HyperCube's partition cache hit.
-        bound_key = tuple((v, bound[v]) for v in atom.variables if v in bound)
-        heavy_key = tuple(
-            (v, tuple(sorted(heavy[v])))
-            for v in atom.variables
-            if v not in bound and heavy[v]
-        )
-        kind, value = cached_view(
-            rel,
-            ("restrict", atom.variables, bound_key, heavy_key),
-            lambda rel=rel, atom=atom: _restrict_atom(rel, atom, bound, heavy),
-        )
+        kind, value = _restrict_atom(relations[atom.name], atom, bound, heavy)
         if kind == "count":
             # The atom vanishes in the residual; it acts as a filter whose
             # match count multiplies output multiplicities (bag semantics).
@@ -297,5 +277,5 @@ def _aligned(
             f"atom {atom}"
         )
     if rel.schema.attributes != atom.variables:
-        rel = project_view(rel, atom.variables)
+        rel = rel.project(list(atom.variables))
     return rel

@@ -89,7 +89,6 @@ def run_selftest(
     kernels: bool | None = None,
     faults: bool = False,
     backend: str | None = None,
-    memo: bool | None = None,
 ) -> SelftestReport:
     """Run the whole harness under one instance budget.
 
@@ -99,8 +98,7 @@ def run_selftest(
     the total execution count proportional to the budget. ``kernels``
     forces the columnar kernels on or off for the whole run (``None``
     keeps the ambient ``REPRO_KERNELS`` setting); ``backend`` does the
-    same for the execution backend (``REPRO_BACKEND``) and ``memo`` for
-    the intra-query memoization layer (``REPRO_MEMO``).
+    same for the execution backend (``REPRO_BACKEND``).
     ``faults=True`` runs every differential execution under a
     reproducible randomized :class:`~repro.mpc.faults.FaultPlan` with
     recovery enabled and demands the same outputs, loads, and clean
@@ -110,9 +108,8 @@ def run_selftest(
     """
     from repro.exec.config import use_backend
     from repro.kernels.config import use_kernels
-    from repro.kernels.memo import use_memo
 
-    with use_kernels(kernels), use_backend(backend), use_memo(memo):
+    with use_kernels(kernels), use_backend(backend):
         return _run_selftest(
             instances, seed, kinds, algorithms,
             0 if faults else metamorphic_every,
@@ -196,11 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                              "under both backends and cross-check outputs, "
                              "loads, and rounds (default: ambient "
                              "REPRO_BACKEND setting)")
-    parser.add_argument("--memo", choices=("on", "off", "both"), default=None,
-                        help="force intra-query memoization on/off, or run "
-                             "the sweep under both and cross-check outputs, "
-                             "loads, and rounds (default: ambient REPRO_MEMO "
-                             "setting)")
     parser.add_argument("--service", action="store_true",
                         help="validate every entry point under concurrent "
                              "execution instead: the full sweep runs once "
@@ -226,15 +218,10 @@ def main(argv: list[str] | None = None) -> int:
             args.kernels
         ]
         backend_mode = None if args.backend == "both" else args.backend
-        memo_mode = {"on": True, "off": False, "both": None, None: None}[
-            args.memo
-        ]
         from repro.exec.config import use_backend
         from repro.kernels.config import use_kernels
-        from repro.kernels.memo import use_memo
 
-        with use_kernels(kernels_mode), use_backend(backend_mode), \
-                use_memo(memo_mode):
+        with use_kernels(kernels_mode), use_backend(backend_mode):
             report = run_service_selftest(
                 instances=args.instances if args.instances != 120 else 24,
                 threads=args.threads, seed=args.seed, kinds=args.kinds,
@@ -249,12 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.planner:
-        from repro.kernels.memo import use_memo
         from repro.testing.planner import run_planner_selftest
 
-        memo_mode = {"on": True, "off": False, "both": None, None: None}[
-            args.memo
-        ]
         if args.kernels == "both" or args.backend == "both":
             status = 0
             modes = (
@@ -267,12 +250,11 @@ def main(argv: list[str] | None = None) -> int:
                     if backend_mode is None else f"backend {backend_mode}"
                 )
                 print(f"=== planner / {label} ===")
-                with use_memo(memo_mode):
-                    report = run_planner_selftest(
-                        instances=args.instances, seed=args.seed,
-                        kinds=args.kinds, verbose=args.verbose,
-                        kernels=kernels_mode, backend=backend_mode,
-                    )
+                report = run_planner_selftest(
+                    instances=args.instances, seed=args.seed,
+                    kinds=args.kinds, verbose=args.verbose,
+                    kernels=kernels_mode, backend=backend_mode,
+                )
                 print(report.summary_table())
                 if not report.ok:
                     for record in report.failures:
@@ -280,12 +262,11 @@ def main(argv: list[str] | None = None) -> int:
                     status = 1
             return status
         kernels_mode = {"on": True, "off": False, None: None}[args.kernels]
-        with use_memo(memo_mode):
-            report = run_planner_selftest(
-                instances=args.instances, seed=args.seed, kinds=args.kinds,
-                verbose=args.verbose, kernels=kernels_mode,
-                backend=args.backend,
-            )
+        report = run_planner_selftest(
+            instances=args.instances, seed=args.seed, kinds=args.kinds,
+            verbose=args.verbose, kernels=kernels_mode,
+            backend=args.backend,
+        )
         print(report.summary_table())
         if not report.ok:
             print("\nfailures:", file=sys.stderr)
@@ -294,9 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    def run(
-        kernels: bool | None, backend: str | None, memo: bool | None
-    ) -> SelftestReport:
+    def run(kernels: bool | None, backend: str | None) -> SelftestReport:
         return run_selftest(
             instances=args.instances,
             seed=args.seed,
@@ -309,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
             kernels=kernels,
             faults=args.faults,
             backend=backend,
-            memo=memo,
         )
 
     def report_failures(report: SelftestReport) -> None:
@@ -318,11 +296,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
 
     # The sweep is the cell product of every axis given as "both": up to
-    # the full kernels x backend x memo 2x2x2 grid. Every cell must pass
-    # on its own, then cells differing in exactly one axis are compared
+    # the full kernels x backend 2x2 grid. Every cell must pass on its
+    # own, then cells differing in exactly one axis are compared
     # pairwise: the kernels axis must preserve model costs (loads), the
-    # backend and memo axes full observational identity (outputs, loads,
-    # and rounds).
+    # backend axis full observational identity (outputs, loads, and
+    # rounds).
     kernels_cells: list[bool | None] = (
         [True, False] if args.kernels == "both"
         else [{"on": True, "off": False, None: None}[args.kernels]]
@@ -330,15 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     backend_cells: list[str | None] = (
         ["inline", "process"] if args.backend == "both" else [args.backend]
     )
-    memo_cells: list[bool | None] = (
-        [True, False] if args.memo == "both"
-        else [{"on": True, "off": False, None: None}[args.memo]]
-    )
     cells = [
-        (kernels, backend, memo)
+        (kernels, backend)
         for kernels in kernels_cells
         for backend in backend_cells
-        for memo in memo_cells
     ]
 
     if len(cells) == 1:
@@ -349,15 +322,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    def cell_label(kernels: bool | None, backend: str | None,
-                   memo: bool | None) -> str:
+    def cell_label(kernels: bool | None, backend: str | None) -> str:
         parts = []
         if args.kernels == "both":
             parts.append(f"kernels {'on' if kernels else 'off'}")
         if args.backend == "both":
             parts.append(str(backend))
-        if args.memo == "both":
-            parts.append(f"memo {'on' if memo else 'off'}")
         return " / ".join(parts)
 
     status = 0
@@ -379,63 +349,31 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {line}", file=sys.stderr)
             status = 1
 
-    def held(*parts: str | None) -> str:
-        kept = [part for part in parts if part]
-        return f" ({', '.join(kept)})" if kept else ""
-
-    def backend_held(backend: str | None) -> str | None:
-        return backend if args.backend == "both" else None
-
-    def memo_held(memo: bool | None) -> str | None:
-        if args.memo != "both":
-            return None
-        return f"memo {'on' if memo else 'off'}"
-
-    def kernels_held(kernels: bool | None) -> str | None:
-        if args.kernels != "both":
-            return None
-        return f"kernels {'on' if kernels else 'off'}"
-
     if args.kernels == "both":
         for backend in backend_cells:
-            for memo in memo_cells:
-                check(
-                    cross_mode_drift(
-                        reports[(True, backend, memo)],
-                        reports[(False, backend, memo)],
-                    ),
-                    "kernels on/off drift"
-                    + held(backend_held(backend), memo_held(memo)),
-                )
+            held = f" ({backend})" if args.backend == "both" else ""
+            check(
+                cross_mode_drift(reports[(True, backend)], reports[(False, backend)]),
+                "kernels on/off drift" + held,
+            )
     if args.backend == "both":
         for kernels in kernels_cells:
-            for memo in memo_cells:
-                check(
-                    cross_backend_drift(
-                        reports[(kernels, "inline", memo)],
-                        reports[(kernels, "process", memo)],
-                    ),
-                    "inline/process drift"
-                    + held(kernels_held(kernels), memo_held(memo)),
-                )
-    if args.memo == "both":
-        for kernels in kernels_cells:
-            for backend in backend_cells:
-                check(
-                    cross_memo_drift(
-                        reports[(kernels, backend, True)],
-                        reports[(kernels, backend, False)],
-                    ),
-                    "memo on/off drift"
-                    + held(kernels_held(kernels), backend_held(backend)),
-                )
+            held = (
+                f" (kernels {'on' if kernels else 'off'})"
+                if args.kernels == "both" else ""
+            )
+            check(
+                cross_backend_drift(
+                    reports[(kernels, "inline")], reports[(kernels, "process")]
+                ),
+                "inline/process drift" + held,
+            )
 
     if status == 0:
         swept = [
             name for name, flag in (
                 ("kernels", args.kernels == "both"),
                 ("backend", args.backend == "both"),
-                ("memo", args.memo == "both"),
             ) if flag
         ]
         print("no cross-mode drift across the full "
@@ -478,17 +416,6 @@ def cross_backend_drift(
     means equal multisets).
     """
     return observational_drift(inline, process, "inline", "process")
-
-
-def cross_memo_drift(on: SelftestReport, off: SelftestReport) -> list[str]:
-    """Differences between memo-enabled and memo-disabled sweeps.
-
-    Memoized replay only changes *how* a round's messages are produced,
-    never what they contain: the partition cache must be byte-identical
-    to rebuilding from scratch, so outputs, loads, and round counts are
-    compared in full — the same contract as the backend axis.
-    """
-    return observational_drift(on, off, "memo on", "memo off")
 
 
 def observational_drift(

@@ -324,81 +324,3 @@ class TestCommittedX9Baseline:
             by_workload.setdefault(record["name"], set()).add(record["protocol"])
         for name, protocols in by_workload.items():
             assert protocols == {"resident", "snapshot"}, (name, protocols)
-
-
-class TestX10Section:
-    @staticmethod
-    def _x10_record(**overrides):
-        record = {
-            "name": "semijoin_multi", "n": 60_000, "p": 8, "queries": 8,
-            "seconds_on": 1.5, "seconds_off": 3.0, "speedup": 2.0,
-            "hash_ops_on": 100_000, "hash_ops_off": 800_000,
-            "hash_ops_ratio": 8.0, "partition_hits": 28, "view_hits": 28,
-            "bytes_saved": 5_000_000, "identical": True,
-        }
-        record.update(overrides)
-        return record
-
-    def test_valid_x10_section(self):
-        doc = minimal_document()
-        doc["x10"] = [
-            self._x10_record(),
-            self._x10_record(name="multiround_sort", hash_ops_ratio=0.0,
-                             hash_ops_off=0),
-        ]
-        assert validate_bench(doc) == []
-
-    def test_x10_must_be_a_list(self):
-        doc = minimal_document()
-        doc["x10"] = {"name": "oops"}
-        assert any("x10" in e for e in validate_bench(doc))
-
-    def test_x10_missing_field_rejected(self):
-        doc = minimal_document()
-        record = self._x10_record()
-        del record["hash_ops_ratio"]
-        doc["x10"] = [record]
-        assert any("hash_ops_ratio" in e for e in validate_bench(doc))
-
-    def test_x10_duplicate_scenario_rejected(self):
-        doc = minimal_document()
-        doc["x10"] = [self._x10_record(), self._x10_record(speedup=1.1)]
-        assert any("duplicate" in e for e in validate_bench(doc))
-
-    def test_x10_negative_measurement_rejected(self):
-        doc = minimal_document()
-        doc["x10"] = [self._x10_record(seconds_on=-0.1)]
-        assert any("seconds_on" in e for e in validate_bench(doc))
-
-    def test_x10_identical_must_be_bool(self):
-        doc = minimal_document()
-        doc["x10"] = [self._x10_record(identical=1)]
-        assert any("identical" in e for e in validate_bench(doc))
-
-
-class TestCommittedX10Baseline:
-    """BENCH_10.json is the memoization PR's committed artifact."""
-
-    BASELINE_10 = REPO_ROOT / "BENCH_10.json"
-
-    def test_baseline_exists_and_validates(self):
-        document = json.loads(self.BASELINE_10.read_text())
-        assert validate_bench(document) == []
-        assert document["x10"], "x10 section must be non-empty"
-
-    def test_memo_is_byte_identical_everywhere(self):
-        document = json.loads(self.BASELINE_10.read_text())
-        for record in document["x10"]:
-            assert record["identical"], record["name"]
-
-    def test_memo_pays_off_on_multiround_scenarios(self):
-        # The PR's acceptance bar: at least two multi-round scenarios
-        # where memoization both cuts wall time >= 1.5x and cuts hash
-        # operations >= 5x against the memo-off arm.
-        document = json.loads(self.BASELINE_10.read_text())
-        strong = [
-            r["name"]
-            for r in document["x10"]
-            if r["speedup"] >= 1.5 and r["hash_ops_ratio"] >= 5.0
-        ]
-        assert len(strong) >= 2, strong

@@ -61,6 +61,40 @@ class TestCorrectness:
         assert sorted(run.output.rows()) == reference(r, s)
 
 
+class TestMixedNumericKeys:
+    """Regression: 1 and 1.0 are equal join keys at every p.
+
+    Integral floats used to hash by ``repr`` while ints took the integer
+    path, so ``(2, 1.0)`` and ``(1, 8)`` were routed to different servers
+    at p > 1 and their join row went missing.
+    """
+
+    R = [(1, 0.5), (2, 1.0)]
+    S = [(0.5, 7), (1, 8)]
+    WANT = [(1, 0.5, 7), (2, 1.0, 8)]
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_output_independent_of_p(self, p, kernels):
+        from repro.kernels.config import use_kernels
+
+        r = Relation("R", ["a", "b"], self.R)
+        s = Relation("S", ["b", "c"], self.S)
+        with use_kernels(kernels):
+            run = parallel_hash_join(r, s, p=p)
+        assert sorted(run.output.rows()) == self.WANT
+
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_engine_verify(self, p):
+        from repro import Engine
+
+        engine = Engine(p=p)
+        engine.register(Relation("R", ["a", "b"], self.R))
+        engine.register(Relation("S", ["b", "c"], self.S))
+        result = engine.query("R(a,b), S(b,c)", verify=True)
+        assert sorted(result.output.rows()) == self.WANT
+
+
 class TestCosts:
     def test_single_round(self):
         r = uniform_relation("R", ["x", "y"], 100, 30, seed=1)

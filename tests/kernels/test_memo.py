@@ -1,19 +1,18 @@
-"""The intra-query memoization layer (:mod:`repro.kernels.memo`).
+"""Kernel work counters (:mod:`repro.kernels.memo`) and cold routing.
 
-Three contracts under test:
-
-- the **gate**: ``REPRO_MEMO`` / ``use_memo`` control whether anything
-  is ever cached, and memo-off leaves the caches untouched;
-- the **partition cache**: replaying a cached routing plan is
-  byte-identical to the per-server ``try_route`` loop, hits/misses are
-  counted, and any mutation of the relation (including through a
-  borrowed ``rows()`` list) invalidates — proven both on directed cases
-  and under hypothesis-driven mutate/route interleavings in both kernel
-  modes, mirroring the PR 6 coherency suite;
-- the **view cache**: derived views are shared on hit and rebuilt after
-  mutation, and multi-round entry points actually engage the layer.
+- routing through the bucket kernels is counted in ``hash_ops`` on the
+  run's record and on the process-wide ``GLOBAL`` mirror, and the
+  counter record merges, snapshots and deltas like every other stats
+  record;
+- a route always reflects the relation's current state, whatever
+  mutations (including through a borrowed ``rows()`` list) came
+  before, in both kernel modes;
+- a finished cold run keeps no reference to its input relations, so
+  they are freed as soon as the caller drops them.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -22,19 +21,10 @@ from hypothesis import strategies as st
 
 from repro.data.relation import Relation
 from repro.kernels.config import use_kernels
-from repro.kernels.memo import (
-    MemoStats,
-    clear_memo,
-    distinct_project,
-    key_degrees,
-    memo_cache_sizes,
-    memo_enabled,
-    project_view,
-    route_scattered,
-    use_memo,
-)
+from repro.kernels.memo import GLOBAL, MemoStats
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
+from repro.multiway.base import _key_degrees
 
 ARITY = 2
 
@@ -42,141 +32,63 @@ values = st.integers(min_value=-(2**40), max_value=2**40)
 rows_st = st.tuples(*[values] * ARITY)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_memo()
-    yield
-    clear_memo()
-
-
 def _relation(n=40, stride=3):
     return Relation("R", ["x", "y"], [(i * stride, i) for i in range(n)])
 
 
-def _route(rel, p=4, seed=0, memo=True):
+def _route(rel, p=4, seed=0):
     """Scatter ``rel`` into a fresh cluster and hash-route it on column 0.
 
-    Mirrors the shuffle loops in ``joins``/``multiway``: memo replay
-    first, then the columnar ``try_route`` per server, then the plain
-    per-row sends. Returns (per-server deliveries, stats).
+    Mirrors the shuffle loops in ``joins``/``multiway``: the columnar
+    ``try_route`` per server, then the plain per-row sends. Returns
+    (per-server deliveries, stats).
     """
-    with use_memo(memo):
-        cluster = Cluster(p, seed=seed)
-        frag = cluster.scatter(rel, "R@in")
-        h = cluster.hash_function(0)
-        with cluster.round("route") as rnd:
-            if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
-                for server in cluster.servers:
-                    rows, cols = server.take_with_columns(frag, (0,))
-                    if not try_route(rnd, rows, (0,), h, "out", columns=cols):
-                        for row in rows:
-                            rnd.send(h((row[0],)), "out", row)
-        deliveries = [list(server.get("out")) for server in cluster.servers]
-        return deliveries, cluster.stats
+    cluster = Cluster(p, seed=seed)
+    frag = cluster.scatter(rel, "R@in")
+    h = cluster.hash_function(0)
+    with cluster.round("route") as rnd:
+        for server in cluster.servers:
+            rows, cols = server.take_with_columns(frag, (0,))
+            if not try_route(rnd, rows, (0,), h, "out", columns=cols):
+                for row in rows:
+                    rnd.send(h((row[0],)), "out", row)
+    deliveries = [list(server.get("out")) for server in cluster.servers]
+    return deliveries, cluster.stats
 
 
-# ------------------------------------------------------------------- gate
-
-
-def test_memo_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMO", raising=False)
-    assert memo_enabled()
-
-
-def test_use_memo_forces_and_restores(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMO", raising=False)
-    with use_memo(False):
-        assert not memo_enabled()
-        with use_memo(True):
-            assert memo_enabled()
-        assert not memo_enabled()
-    assert memo_enabled()
-
-
-def test_use_memo_none_is_a_no_op():
-    with use_memo(False):
-        with use_memo(None):
-            assert not memo_enabled()
-
-
-def test_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_MEMO", "off")
-    assert not memo_enabled()
-    with use_memo(True):  # explicit forcing beats the environment
-        assert memo_enabled()
-
-
-def test_memo_off_caches_nothing():
+def test_route_counts_hash_ops():
     rel = _relation()
-    _route(rel, memo=False)
-    _route(rel, memo=False)
-    assert memo_cache_sizes() == (0, 0)
-
-
-# -------------------------------------------------------- partition cache
-
-
-def test_replay_is_byte_identical_and_counted():
-    rel = _relation()
-    reference, ref_stats = _route(rel, memo=False)
-    first, first_stats = _route(rel, memo=True)
-    again, again_stats = _route(rel, memo=True)
-    assert first == reference
-    assert again == reference
-    assert first_stats.max_load == ref_stats.max_load
-    assert again_stats.max_load == ref_stats.max_load
-    assert first_stats.memo.partition_misses == 1
+    before = GLOBAL.snapshot()
+    first, first_stats = _route(rel)
+    again, again_stats = _route(rel)
+    assert again == first
+    assert again_stats.max_load == first_stats.max_load
+    # One hashed key column per row, paid in full by every cold route.
+    assert first_stats.memo.hash_ops == len(rel)
+    assert again_stats.memo.hash_ops == len(rel)
+    assert GLOBAL.delta(before).hash_ops == 2 * len(rel)
     assert first_stats.memo.partition_hits == 0
-    assert again_stats.memo.partition_hits == 1
-    assert again_stats.memo.hash_ops_saved > 0
-    assert again_stats.memo.bytes_saved > 0
-
-
-def test_mutation_invalidates_the_plan():
-    rel = _relation()
-    _route(rel, memo=True)
-    rel.add((999_983, -1))
-    got, stats = _route(rel, memo=True)
-    want, _ = _route(Relation("R", ["x", "y"], rel.rows_readonly()), memo=False)
-    assert got == want
-    assert stats.memo.partition_hits == 0
-    assert stats.memo.partition_misses == 1
-
-
-def test_borrowed_relation_is_never_served():
-    rel = _relation()
-    _route(rel, memo=True)
-    live = rel.rows()  # borrow: external edits are now possible
-    live[0] = (123_456_789, 0)
-    got, stats = _route(rel, memo=True)
-    want, _ = _route(Relation("R", ["x", "y"], list(live)), memo=False)
-    assert got == want
-    assert stats.memo.partition_hits == 0
 
 
 def test_kernels_off_falls_back_identically():
     rel = _relation()
-    reference, _ = _route(rel, memo=False)
+    reference, _ = _route(rel)
     with use_kernels(False):
-        got, stats = _route(rel, memo=True)
+        got, stats = _route(rel)
     assert got == reference
-    assert stats.memo.partition_hits + stats.memo.partition_misses == 0
+    assert stats.memo.hash_ops == 0
 
 
-def test_tampered_fragment_falls_back():
-    # A fragment that no longer matches its scatter provenance must not
-    # replay a stale plan.
+def test_borrowed_relation_is_never_served():
+    # Edits through a borrowed live list bypass the mutation token, so
+    # the next route must read the current rows, not stale columns.
     rel = _relation()
-    _route(rel, memo=True)  # prime the cache
-    with use_memo(True):
-        cluster = Cluster(4, seed=0)
-        frag = cluster.scatter(rel, "R@in")
-        cluster.servers[0].fragment(frag).append((7, 7))
-        h = cluster.hash_function(0)
-        with cluster.round("route") as rnd:
-            assert not route_scattered(
-                cluster, rnd, rel, frag, (0,), h, "out"
-            )
+    _route(rel)
+    live = rel.rows()  # borrow: external edits are now possible
+    live[0] = (123_456_789, 0)
+    got, _ = _route(rel)
+    want, _ = _route(Relation("R", ["x", "y"], list(live)))
+    assert got == want
 
 
 operations = st.lists(
@@ -185,7 +97,6 @@ operations = st.lists(
         st.tuples(st.just("extend"), st.lists(rows_st, max_size=3)),
         st.tuples(st.just("set_inplace"), st.integers(0, 7), rows_st),
         st.tuples(st.just("route"), st.integers(min_value=2, max_value=4)),
-        st.tuples(st.just("route_twice"), st.integers(min_value=2, max_value=4)),
     ),
     max_size=10,
 )
@@ -195,124 +106,74 @@ operations = st.lists(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(initial=st.lists(rows_st, max_size=8), ops=operations)
-def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
-    """Mirror of the PR 6 coherency suite for the partition cache.
-
-    Whatever interleaving of mutations (including through a borrowed
-    live list) and routes the relation suffers, the memoized route must
-    deliver exactly what a memo-off route of the same state delivers —
-    and an immediate re-route (the hit path) must too.
-    """
-    clear_memo()
+def test_route_coherent_under_interleavings(kernels, initial, ops):
+    """Whatever interleaving of mutations (including through a borrowed
+    live list) and routes the relation suffers, routing it delivers
+    exactly what routing a fresh relation of the same state delivers."""
     with use_kernels(kernels):
-        memoized = Relation("R", ["x", "y"], initial)
+        mutated = Relation("R", ["x", "y"], initial)
         shadow = list(initial)
         for op in ops:
             tag = op[0]
             if tag == "add":
-                memoized.add(op[1])
+                mutated.add(op[1])
                 shadow.append(op[1])
             elif tag == "extend":
-                memoized.extend(op[1])
+                mutated.extend(op[1])
                 shadow.extend(op[1])
             elif tag == "set_inplace":
-                live = memoized.rows()
+                live = mutated.rows()
                 if live:
                     live[op[1] % len(live)] = op[2]
                     shadow[op[1] % len(shadow)] = op[2]
             else:
-                p = op[1]
-                reference = Relation("R", ["x", "y"], shadow)
-                want, want_stats = _route(reference, p=p, memo=False)
-                got, got_stats = _route(memoized, p=p, memo=True)
+                want, want_stats = _route(Relation("R", ["x", "y"], shadow), p=op[1])
+                got, got_stats = _route(mutated, p=op[1])
                 assert got == want
                 assert got_stats.max_load == want_stats.max_load
-                if tag == "route_twice":
-                    again, _ = _route(memoized, p=p, memo=True)
-                    assert again == want
-    clear_memo()
-
-
-# ------------------------------------------------------------- view cache
-
-
-def test_project_view_shares_on_hit_and_rebuilds_on_mutation():
-    rel = _relation()
-    stats = MemoStats()
-    with use_memo(True):
-        first = project_view(rel, ("x",), stats=stats)
-        second = project_view(rel, ("x",), stats=stats)
-        assert second is first
-        assert (stats.view_hits, stats.view_misses) == (1, 1)
-        rel.add((-5, -5))
-        third = project_view(rel, ("x",), stats=stats)
-    assert third is not first
-    assert third.rows_readonly() == rel.project(["x"]).rows_readonly()
 
 
 def test_distinct_and_degrees_match_reference():
     rel = Relation("R", ["x", "y"], [(1, 2), (1, 3), (2, 2), (1, 2)])
-    with use_memo(True):
-        assert sorted(distinct_project(rel, ("x",)).rows_readonly()) == \
-            [(1,), (2,)]
-        assert key_degrees(rel, (0,)) == Counter({(1,): 3, (2,): 1})
-        # The cached Counter is shared between calls.
-        assert key_degrees(rel, (0,)) is key_degrees(rel, (0,))
-
-
-def test_view_cache_bypassed_for_borrowed_relations():
-    rel = _relation()
-    rel.rows()  # borrow
-    with use_memo(True):
-        first = project_view(rel, ("x",))
-        second = project_view(rel, ("x",))
-    assert first is not second
-    assert memo_cache_sizes() == (0, 0)
-
-
-# ------------------------------------------- multi-round engagement + stats
-
-
-def test_multiround_entry_point_hits_the_cache():
-    # A cold GYM run populates the caches; repeating the query on the
-    # same unchanged relations (every round of a service loop, every
-    # branch of the splitter) must replay instead of re-hashing — and
-    # stay byte-identical to a memo-off run throughout.
-    from repro.multiway.gym import gym
-    from repro.query.parser import parse_query
-
-    query = parse_query("Q(a, b, c) :- R(a, b), S(b, c)")
-    relations = {
-        "R": Relation("R", ["a", "b"], [(i % 7, i % 5) for i in range(60)]),
-        "S": Relation("S", ["b", "c"], [(i % 5, i % 3) for i in range(60)]),
-    }
-    with use_memo(True):
-        cold = gym(query, relations, p=4, seed=0)
-        warm = gym(query, relations, p=4, seed=0)
-    with use_memo(False):
-        reference = gym(query, relations, p=4, seed=0)
-    for run in (cold, warm):
-        assert run.output.rows_readonly() == reference.output.rows_readonly()
-        assert run.stats.max_load == reference.stats.max_load
-    assert cold.stats.memo.partition_misses > 0
-    assert warm.stats.memo.partition_hits > 0
-    assert warm.stats.memo.view_hits > 0
+    assert sorted(rel.project(["x"]).distinct().rows_readonly()) == [(1,), (2,)]
+    want = Counter({(1,): 3, (2,): 1})
+    assert _key_degrees(rel, (0,)) == want
+    # A non-integer column leaves no columnar view: the row path.
+    mixed = Relation("M", ["x", "y"], [(1, "a"), (1, "b"), (2, "a"), (1, "a")])
+    assert mixed.columns() is None
+    assert _key_degrees(mixed, (0,)) == want
 
 
 def test_memo_stats_merge_snapshot_delta_summary():
-    a = MemoStats(partition_hits=2, hash_ops=10, bytes_saved=100)
-    b = MemoStats(partition_hits=1, view_misses=3)
+    a = MemoStats(fused_payloads=2, hash_ops=10)
+    b = MemoStats(fused_payloads=1)
     merged = MemoStats.merged([a, None, b])
-    assert merged.partition_hits == 3
+    assert merged.fused_payloads == 3
     assert merged.hash_ops == 10
-    assert merged.view_misses == 3
     snap = merged.snapshot()
-    merged.partition_hits += 5
+    merged.hash_ops += 5
     delta = merged.delta(snap)
-    assert delta.partition_hits == 5
-    assert delta.hash_ops == 0
+    assert delta.hash_ops == 5
+    assert delta.fused_payloads == 0
     assert merged.any_activity
     assert not MemoStats().any_activity
-    line = merged.summary()
-    assert line.startswith("memo: partition")
-    assert "bytes_saved=100" in line
+    assert merged.summary() == "kernels: fused=3 hash_ops=15"
+
+
+def test_cold_runs_retain_no_input():
+    # A finished run must not pin its inputs: once the caller lets go of
+    # the relations (and the run), they are collectable.
+    from repro.joins.hash_join import parallel_hash_join
+    from repro.multiway.hypercube import triangle_hypercube
+
+    edges = [(i % 13, (i * 7) % 13) for i in range(200)]
+    r = Relation("R", ["x", "y"], edges)
+    s = Relation("S", ["y", "z"], edges)
+    t = Relation("T", ["z", "x"], edges)
+    join = parallel_hash_join(r, s, p=4, seed=0)
+    triangle = triangle_hypercube(r, s, t, p=8, seed=0)
+    assert len(join.output) and len(triangle.output)
+    refs = [weakref.ref(rel) for rel in (r, s, t)]
+    del r, s, t, join, triangle
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

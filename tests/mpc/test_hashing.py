@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -54,6 +55,19 @@ class TestHashFunction:
     def test_bool_hashes_like_int(self):
         h = HashFamily(0).function(0, 8)
         assert h(True) == h(1)
+
+    def test_equal_numbers_hash_alike(self):
+        # Values that compare equal join with each other, so they must
+        # land on the same server whatever their Python/numpy type.
+        h = HashFamily(0).function(0, 1 << 20)
+        assert len({h(1), h(1.0), h(True), h(np.int64(1)), h(np.float32(1.0)),
+                    h(np.bool_(True)), h(np.uint8(1))}) == 1
+        assert h(10**20) == h(1e20)
+        assert h(0) == h(-0.0)
+        assert h(0.5) == h(np.float64(0.5))
+        assert h((1, "a")) == h((1.0, "a")) == h((np.int64(1), "a"))
+        assert h((1, 0.5)) == h((1.0, np.float64(0.5)))
+        assert h("a") == h(np.str_("a"))
 
     def test_negative_integers(self):
         h = HashFamily(0).function(0, 8)
